@@ -1,6 +1,6 @@
 //! Paper-scale SimRuntime macro-benchmark driver: times lazy GWAS
-//! campaigns at 10⁴–10⁶ tasks under both event-queue backends and
-//! records the results in a labelled, mergeable JSON file.
+//! campaigns at 10⁴–10⁶ tasks and records the results in a labelled,
+//! mergeable JSON file.
 //!
 //! ```text
 //! cargo run --release -p continuum-bench --bin sim_bench -- --label lazy
@@ -10,13 +10,12 @@
 //! `--label <name>` stores this binary's measurements under that name
 //! in the output file (default `BENCH_sim.json`), preserving runs
 //! recorded under other labels. `--smoke` keeps only the 10⁴-task
-//! campaign for CI. `--check` asserts the calendar and binary-heap
-//! backends produce bit-for-bit identical execution traces and exits
-//! non-zero otherwise — the schedule-identity guarantee the calendar
-//! queue is held to.
+//! campaign for CI. `--check` runs every scale a second time, asserts
+//! the two runs produce bit-for-bit identical execution traces and
+//! exits non-zero otherwise — the determinism every simulated result
+//! rests on.
 
 use continuum_bench::sim_bench::{cases, measure, SimMeasurement};
-use continuum_runtime::EventQueueKind;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -99,9 +98,8 @@ fn main() {
         if smoke { "smoke" } else { "full" }
     );
     println!(
-        "{:<6} {:<9} {:>9} {:>9} {:>10} {:>12} {:>10} {:>10} {:>9} {:>12}",
+        "{:<6} {:>9} {:>9} {:>10} {:>12} {:>10} {:>10} {:>9} {:>12}",
         "case",
-        "backend",
         "tasks",
         "events",
         "wall_ms",
@@ -114,38 +112,28 @@ fn main() {
     let mut results = Vec::new();
     let mut mismatched = false;
     for case in cases(smoke) {
-        let mut traces = Vec::new();
-        for backend in [EventQueueKind::Calendar, EventQueueKind::Heap] {
-            reset_peak();
-            let (m, trace) = measure(&case, backend, alloc_stats);
-            println!(
-                "{:<6} {:<9} {:>9} {:>9} {:>10.1} {:>12.0} {:>10} {:>10} {:>9} {:>12}",
-                m.case,
-                m.backend,
-                m.tasks,
-                m.events,
-                m.wall_ms,
-                m.events_per_sec,
-                m.peak_materialized_tasks,
-                m.peak_live_values,
-                m.peak_event_queue,
-                m.peak_resident_bytes
-            );
-            results.push(m);
-            if check {
-                traces.push(trace);
-            }
-        }
-        if check && traces.len() == 2 && traces[0] != traces[1] {
-            eprintln!(
-                "MISMATCH: calendar and heap traces differ at scale {}",
-                case.name
-            );
+        reset_peak();
+        let (m, trace) = measure(&case, alloc_stats);
+        println!(
+            "{:<6} {:>9} {:>9} {:>10.1} {:>12.0} {:>10} {:>10} {:>9} {:>12}",
+            m.case,
+            m.tasks,
+            m.events,
+            m.wall_ms,
+            m.events_per_sec,
+            m.peak_materialized_tasks,
+            m.peak_live_values,
+            m.peak_event_queue,
+            m.peak_resident_bytes
+        );
+        results.push(m);
+        if check && measure(&case, alloc_stats).1 != trace {
+            eprintln!("MISMATCH: two runs' traces differ at scale {}", case.name);
             mismatched = true;
         }
     }
     if check && !mismatched {
-        println!("\ncheck: calendar and heap execution traces are identical at every scale");
+        println!("\ncheck: two runs' execution traces are identical at every scale");
     }
 
     // Merge into the output file, preserving other labels.

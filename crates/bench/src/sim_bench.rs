@@ -6,9 +6,7 @@
 //! Two things are measured per scale:
 //!
 //! * **event throughput** — discrete events processed per wall-clock
-//!   second, under both event-queue backends (the calendar queue and
-//!   the binary-heap reference), which bounds simulation fidelity at
-//!   campaign scale;
+//!   second, which bounds simulation fidelity at campaign scale;
 //! * **residency** — peak materialized tasks, peak live values and
 //!   peak heap bytes, which lazy materialization keeps proportional to
 //!   the frontier (window + one chromosome) rather than the campaign.
@@ -20,13 +18,11 @@
 //! cargo run --release -p continuum-bench --bin sim_bench -- --smoke --check
 //! ```
 //!
-//! `--check` additionally asserts the calendar and heap backends
-//! produce bit-for-bit identical execution traces.
+//! `--check` additionally runs every scale twice and asserts the two
+//! runs produce bit-for-bit identical execution traces.
 
 use continuum_platform::{NodeSpec, Platform, PlatformBuilder};
-use continuum_runtime::{
-    EventQueueKind, LazyRunOutcome, LocalityScheduler, SimOptions, SimRuntime,
-};
+use continuum_runtime::{LazyRunOutcome, LocalityScheduler, SimOptions, SimRuntime};
 use continuum_sim::{ExecutionTrace, FaultPlan};
 use continuum_workflows::GwasWorkload;
 use serde::Serialize;
@@ -91,13 +87,11 @@ pub fn cases(smoke: bool) -> Vec<SimCase> {
     v
 }
 
-/// One timed lazy run of one scale under one event-queue backend.
+/// One timed lazy run of one scale.
 #[derive(Debug, Clone, Serialize)]
 pub struct SimMeasurement {
     /// Scale name.
     pub case: String,
-    /// Event-queue backend (`calendar` or `heap`).
-    pub backend: String,
     /// Tasks completed (the whole campaign).
     pub tasks: usize,
     /// Discrete events processed.
@@ -123,8 +117,8 @@ pub struct SimMeasurement {
     pub peak_resident_bytes: u64,
 }
 
-/// Runs `case` lazily under `backend`, returning the measurement and
-/// the execution trace (for cross-backend identity checks).
+/// Runs `case` lazily, returning the measurement and the execution
+/// trace (for run-to-run identity checks).
 /// `alloc_stats` samples `(allocation count, peak live bytes)` from a
 /// counting global allocator; library callers can pass `|| (0, 0)`.
 ///
@@ -133,14 +127,9 @@ pub struct SimMeasurement {
 /// Panics if the campaign fails to complete.
 pub fn measure(
     case: &SimCase,
-    backend: EventQueueKind,
     alloc_stats: impl Fn() -> (u64, u64),
 ) -> (SimMeasurement, ExecutionTrace) {
-    let options = SimOptions {
-        event_queue: backend,
-        ..Default::default()
-    };
-    let runtime = SimRuntime::new(case.platform(), options);
+    let runtime = SimRuntime::new(case.platform(), SimOptions::default());
     let mut source = case.campaign.clone().into_source(case.window);
     let (allocs_before, _) = alloc_stats();
     let start = Instant::now();
@@ -153,13 +142,8 @@ pub fn measure(
         .expect("bench campaign completes");
     let wall_ms = start.elapsed().as_secs_f64() * 1e3;
     let (allocs_after, peak_bytes) = alloc_stats();
-    let backend_name = match backend {
-        EventQueueKind::Calendar => "calendar",
-        EventQueueKind::Heap => "heap",
-    };
     let m = SimMeasurement {
         case: case.name.to_string(),
-        backend: backend_name.to_string(),
         tasks: outcome.report.tasks_completed,
         events: outcome.events_processed,
         wall_ms,
@@ -180,7 +164,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn smoke_scale_completes_and_backends_agree() {
+    fn smoke_scale_completes_and_runs_agree() {
         // A sub-smoke campaign so `cargo test` stays fast; the real
         // 10⁴ scale runs in the binary's --smoke mode.
         let case = SimCase {
@@ -189,20 +173,20 @@ mod tests {
             window: 8,
             nodes: 10,
         };
-        let (cal, cal_trace) = measure(&case, EventQueueKind::Calendar, || (0, 0));
-        let (heap, heap_trace) = measure(&case, EventQueueKind::Heap, || (0, 0));
-        assert_eq!(cal.tasks, case.task_count());
-        assert_eq!(cal_trace, heap_trace, "backends must agree bit-for-bit");
-        assert_eq!(cal.makespan_s, heap.makespan_s);
-        assert_eq!(cal.events, heap.events);
+        let (first, first_trace) = measure(&case, || (0, 0));
+        let (second, second_trace) = measure(&case, || (0, 0));
+        assert_eq!(first.tasks, case.task_count());
+        assert_eq!(first_trace, second_trace, "runs must agree bit-for-bit");
+        assert_eq!(first.makespan_s, second.makespan_s);
+        assert_eq!(first.events, second.events);
         // Lazy materialization keeps the frontier well under the
         // campaign size even at test scale.
         assert!(
-            cal.peak_materialized_tasks < case.task_count() / 2,
+            first.peak_materialized_tasks < case.task_count() / 2,
             "peak {} vs total {}",
-            cal.peak_materialized_tasks,
+            first.peak_materialized_tasks,
             case.task_count()
         );
-        assert!(cal.retired_tasks > 0);
+        assert!(first.retired_tasks > 0);
     }
 }

@@ -58,7 +58,7 @@ pub trait ExpandSink<P> {
 /// construction parameters and the sequence of completions observed,
 /// never on wall-clock time or unseeded randomness, so that two runs of
 /// the same source produce identical graphs (the property the
-/// calendar-vs-heap `--check` equivalence relies on).
+/// run-to-run `sim_bench --check` equivalence relies on).
 pub trait GraphSource<P> {
     /// Materializes the initial frontier (tasks with no predecessors,
     /// or a bounded window of them). Called exactly once, before the

@@ -8,8 +8,8 @@
 //! provides the building blocks the simulated engine is assembled
 //! from:
 //!
-//! * [`VirtualTime`] and [`EventQueue`] — a deterministic event queue
-//!   with stable FIFO tie-breaking;
+//! * [`VirtualTime`] and [`EventQueue`] — a deterministic binary-heap
+//!   event queue with stable FIFO tie-breaking;
 //! * [`NodeState`] — per-node core/memory occupancy with utilisation
 //!   and energy integration over virtual time;
 //! * [`TransferLedger`] — accounting of simulated data movements;
@@ -33,7 +33,7 @@ mod transfer;
 
 pub use fault::{FaultEvent, FaultKind, FaultPlan};
 pub use node_state::NodeState;
-pub use queue::{EventQueue, EventQueueKind};
+pub use queue::EventQueue;
 pub use report::{NodeUsage, RunReport};
 pub use time::VirtualTime;
 pub use trace::{ExecutionTrace, TraceRecord};

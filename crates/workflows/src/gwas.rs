@@ -550,20 +550,16 @@ mod tests {
     }
 
     #[test]
-    fn lazy_source_identical_across_queue_backends() {
+    fn lazy_source_runs_are_identical() {
         use continuum_platform::{NodeSpec, PlatformBuilder};
-        use continuum_runtime::{EventQueueKind, LocalityScheduler, SimOptions, SimRuntime};
+        use continuum_runtime::{LocalityScheduler, SimOptions, SimRuntime};
         use continuum_sim::FaultPlan;
 
-        let run_with = |kind: EventQueueKind| {
+        let run = || {
             let platform = PlatformBuilder::new()
                 .cluster("mn", 4, NodeSpec::hpc(8, 96_000))
                 .build();
-            let opts = SimOptions {
-                event_queue: kind,
-                ..Default::default()
-            };
-            let rt = SimRuntime::new(platform, opts);
+            let rt = SimRuntime::new(platform, SimOptions::default());
             let mut source = GwasWorkload::new()
                 .chromosomes(2)
                 .chunks_per_chromosome(6)
@@ -576,9 +572,7 @@ mod tests {
             )
             .unwrap()
         };
-        let cal = run_with(EventQueueKind::Calendar);
-        let heap = run_with(EventQueueKind::Heap);
-        assert_eq!(cal, heap);
+        assert_eq!(run(), run());
     }
 
     #[test]
